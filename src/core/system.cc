@@ -36,7 +36,6 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
       rng_(config.seed),
       map_(config.node_count, config.arcs),
       expiry_(static_cast<std::size_t>(config.arcs)),
-      extended_(static_cast<std::size_t>(config.arcs)),
       balancer_(dht::LoadBalanceConfig{config.lb_threshold, 4}),
       replica_set_scratch_(static_cast<std::size_t>(config.arcs) + 1),
       lane_audit_gates_(static_cast<std::size_t>(config.arcs)),
@@ -254,7 +253,6 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
       erasure() ? (size + config_.ec_data_fragments - 1) / config_.ec_data_fragments
                 : size;
   map_.insert(k, size, set, member_bytes);
-  note_set_shape(k, set.size());
   // A write cannot land on a down member; it catches up on recovery.
   for (int n : set) {
     if (!node_up(n)) map_.mark_missing(k, n);
@@ -275,7 +273,6 @@ void System::remove_at(const Key& k, SimTime t) {
       add_user_removed_bytes(b->size);
       map_.erase(k);
       expiry_shard(k).erase(k);
-      extended_shard(k).erase(k);
       if (config_.scatter_replicas > 0) forget_scatter(k);
       maybe_audit(/*sampled=*/true);
     }
@@ -302,7 +299,6 @@ void System::refresh_at(const Key& k, SimTime t) {
         tracer_->record(sim_.now(), obs::EventType::kBlockExpired, b->size);
       }
       map_.erase(k);
-      extended_shard(k).erase(k);
       if (config_.scatter_replicas > 0) forget_scatter(k);
     }
     shard.erase(it);
@@ -423,19 +419,9 @@ void System::finish_fetch(const Key& k, int node) {
 
 // --------------------------------------------------------- readjustment --
 
-void System::note_set_shape(const Key& k, std::size_t set_size) {
-  D2_ASSERT_OWNER_LANE(map_.arc_of(k));
-  if (static_cast<int>(set_size) != effective_replicas()) {
-    extended_shard(k).insert(k);
-  } else {
-    extended_shard(k).erase(k);
-  }
-}
-
 void System::reassign_block(const Key& k, SimTime fetch_delay) {
   std::vector<int>& set = replica_set_scratch_[shard_slot()];
   target_replica_set(k, set);
-  note_set_shape(k, set.size());
   map_.reassign_replicas(k, set, sim_.now());
   const store::BlockState* b = map_.find(k);
   D2_ASSERT(b != nullptr);
@@ -449,9 +435,9 @@ void System::reassign_block(const Key& k, SimTime fetch_delay) {
 void System::readjust_arc(int around_node, SimTime fetch_delay) {
   if (map_.block_count() == 0) return;
   // Cover every key whose replica scan can reach `around_node`.
+  const int ring_steps = static_cast<int>(ring_.size()) - 1;
+  const int steps = std::min(ring_steps, scan_cap(effective_replicas()));
   int pred = around_node;
-  const int steps = std::min<int>(static_cast<int>(ring_.size()) - 1,
-                                  scan_cap(effective_replicas()));
   for (int i = 0; i < steps; ++i) pred = ring_.predecessor(pred);
   const Key from = ring_.id_of(pred);
   const Key to = ring_.id_of(around_node);
@@ -460,7 +446,18 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
   }
   if (!scatter_index_.empty()) {
     // Blocks with a scattered replica anchored in this arc are affected
-    // too (hybrid placement).
+    // too (hybrid placement). A scattered scan skips down nodes with no
+    // step bound and passes up nodes only as duplicates of the set's
+    // other members (fewer than config.replicas of them), so its anchor
+    // may sit back as far as the replicas-th up predecessor.
+    int anchor = around_node;
+    int up_passed = 0;
+    for (int i = 0; i < ring_steps; ++i) {
+      if (i >= steps && up_passed >= config_.replicas) break;
+      anchor = ring_.predecessor(anchor);
+      if (node_up(anchor)) ++up_passed;
+    }
+    const Key scatter_from = ring_.id_of(anchor);
     std::vector<Key> affected;
     auto collect = [this, &affected](const Key& lo_excl, const Key& hi_incl) {
       for (auto it = scatter_index_.upper_bound(lo_excl);
@@ -468,12 +465,12 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
         affected.push_back(it->second);
       }
     };
-    if (from == to) {
+    if (scatter_from == to) {
       for (const auto& [pos, key] : scatter_index_) affected.push_back(key);
-    } else if (from < to) {
-      collect(from, to);
+    } else if (scatter_from < to) {
+      collect(scatter_from, to);
     } else {
-      collect(from, Key::max());
+      collect(scatter_from, Key::max());
       for (auto it = scatter_index_.begin();
            it != scatter_index_.end() && it->first <= to; ++it) {
         affected.push_back(it->second);
@@ -645,24 +642,31 @@ void System::on_node_up(int node) {
     tracer_->record(sim_.now(), obs::EventType::kNodeUp, node);
   }
   // Shrink extended replica sets back to canonical and let this node catch
-  // up on writes it missed.
+  // up on writes it missed. Every block that can list this node has its
+  // key (or scatter position) in the cover arc: down nodes never move,
+  // every ID change and regeneration readjusts its own cover arc, and the
+  // replica scan starts at the key's owner. So the cost is the cover
+  // arc's blocks only.
   readjust_arc(node, 0);
-  // Blocks that were extended while members were down may sit arbitrarily
-  // far from this node's current ring position (load balancing moves ranks
-  // around); re-canonicalize them all — the set is small. Shards visited
-  // in arc order enumerate keys ascending, the pre-sharding order.
-  std::vector<Key> extended;
-  for (const std::set<Key>& shard : extended_) {
-    extended.insert(extended.end(), shard.begin(), shard.end());
-  }
-  for (const Key& k : extended) {
-    if (map_.contains(k)) {
-      reassign_block(k, 0);
-    } else {
-      extended_shard(k).erase(k);
-    }
-  }
+  if (kParanoid || config_.paranoid_audits) check_recovered(node);
   maybe_audit(/*sampled=*/false);
+}
+
+void System::check_recovered(int node) const {
+  std::vector<int> target;
+  map_.for_each_block([&](const Key& k, const store::BlockState& b) {
+    const bool lists_node =
+        std::any_of(b.replicas.begin(), b.replicas.end(),
+                    [node](const store::Replica& r) { return r.node == node; });
+    if (!lists_node) return;
+    target_replica_set(k, target);
+    const bool canonical = std::equal(
+        b.replicas.begin(), b.replicas.end(), target.begin(), target.end(),
+        [](const store::Replica& r, int n) { return r.node == n; });
+    D2_ASSERT_MSG(canonical,
+                  "system: a block listing a recovered node was left outside "
+                  "its cover arc");
+  });
 }
 
 // -------------------------------------------------------------- metrics --
@@ -717,13 +721,6 @@ void System::check_invariants() const {
   // the bijection the lane-confinement rules rest on (DESIGN.md §9).
   for (int a = 0; a < config_.arcs; ++a) {
     const auto arc_i = static_cast<std::size_t>(a);
-    for (const Key& k : extended_[arc_i]) {
-      D2_ASSERT_MSG(map_.contains(k),
-                    "system: extended-set entry for a removed block");
-      D2_ASSERT_MSG(map_.arc_of(k) == a,
-                    "system: extended-set entry filed in a shard that does "
-                    "not own its key");
-    }
     for (const auto& [k, deadline] : expiry_[arc_i]) {
       D2_ASSERT_MSG(map_.arc_of(k) == a,
                     "system: TTL entry filed in a shard that does not own "

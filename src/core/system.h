@@ -17,12 +17,12 @@
 //
 // ## Arc sharding (DESIGN.md §9)
 //
-// With config.arcs > 1 every piece of keyed state — the block map, TTL
-// deadlines, extended-set membership — is sharded by the key's arc, and
-// the key-local events (TTL expiry, delayed remove, fetch timers) are
-// scheduled onto the key's arc queue. An arc lane (parallel window or
-// batched op phase) may therefore run put/remove/refresh/get/try_fetch
-// for its own keys touching only its shard. Cross-cutting state stays
+// With config.arcs > 1 every piece of keyed state — the block map and the
+// TTL deadlines — is sharded by the key's arc, and the key-local events
+// (TTL expiry, delayed remove, fetch timers) are scheduled onto the key's
+// arc queue. An arc lane (parallel window or batched op phase) may
+// therefore run put/remove/refresh/get/try_fetch for its own keys
+// touching only its shard. Cross-cutting state stays
 // coordinator-only, reached from lanes through two deterministic relays
 // (DESIGN.md §12's event-class taxonomy):
 //   - migration links: a fetch admitted by a lane stages a bandwidth
@@ -42,7 +42,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -183,11 +182,11 @@ class System {
   /// node_count members and every block's primary is the ring owner of
   /// its key (§3's successor placement, re-established by readjustment
   /// after every ID change). With arcs > 1 it also audits the partition
-  /// bijection: every TTL deadline and extended-set entry is filed under
-  /// the arc shard that owns its key (the block map audits the same for
-  /// block storage). Wired into execute_move / on_node_down /
-  /// on_node_up and sampled put/remove paths when built with D2_PARANOID
-  /// or running with config.paranoid_audits; callable from tests always.
+  /// bijection: every TTL deadline is filed under the arc shard that
+  /// owns its key (the block map audits the same for block storage).
+  /// Wired into execute_move / on_node_down / on_node_up and sampled
+  /// put/remove paths when built with D2_PARANOID or running with
+  /// config.paranoid_audits; callable from tests always.
   void check_invariants() const;
 
  private:
@@ -223,12 +222,11 @@ class System {
   }
   void execute_move(const dht::MoveDecision& decision);
   /// Recomputes replica sets for all blocks in the cover arc around
-  /// `around_node` (its (r+2) predecessors through itself) and schedules
+  /// `around_node` (its r+6 predecessors through itself) and schedules
   /// fetches for members lacking data. `fetch_delay` applies to newly
   /// created pointer members.
   void readjust_arc(int around_node, SimTime fetch_delay);
   void reassign_block(const Key& k, SimTime fetch_delay);
-  void note_set_shape(const Key& k, std::size_t set_size);
   void schedule_fetch(const Key& k, int node, SimTime delay);
   void try_fetch(const Key& k, int node);
   /// Resolves every staged bandwidth reservation in (time, arc, seq)
@@ -241,6 +239,9 @@ class System {
   void finish_fetch(const Key& k, int node);
   void on_node_down(int node);
   void on_node_up(int node);
+  /// Post-condition of on_node_up: every block listing `node` holds its
+  /// target replica set. O(blocks); runs only when auditing is on.
+  void check_recovered(int node) const;
   std::optional<int> fetch_source(const store::BlockState& b) const;
 
   /// Runs check_invariants() when auditing is on (D2_PARANOID build or
@@ -261,9 +262,6 @@ class System {
   // cannot leak. d2-lint: allow(unordered-container)
   std::unordered_map<Key, SimTime, KeyHash>& expiry_shard(const Key& k) {
     return expiry_[static_cast<std::size_t>(map_.arc_of(k))];
-  }
-  std::set<Key>& extended_shard(const Key& k) {
-    return extended_[static_cast<std::size_t>(map_.arc_of(k))];
   }
   static Bytes sum_shards(const std::vector<Bytes>& shards) {
     Bytes total = 0;
@@ -297,12 +295,6 @@ class System {
   /// scatter position -> block key, for hybrid placement readjustment.
   /// Couples arbitrary keys, hence scatter requires config.arcs == 1.
   std::multimap<Key, Key> scatter_index_;
-  /// Blocks whose replica set is currently extended past the canonical
-  /// size (members down / regeneration), one shard per arc. Shards
-  /// concatenated in arc order enumerate keys ascending, exactly like
-  /// the single pre-sharding set. Re-canonicalized on recoveries,
-  /// regardless of how far load balancing has shifted ring ranks.
-  std::vector<std::set<Key>> extended_ D2_SHARDED_BY_ARC(arc);
   dht::LoadBalancer balancer_;
   std::vector<NodeState> nodes_;
   /// Scratch for target_replica_set results on the put/reassign hot path

@@ -233,6 +233,49 @@ TEST(System, RecoveryShrinksReplicaSetToCanonical) {
   EXPECT_EQ(after, before);  // canonical set restored on recovery
 }
 
+// Events scheduled by node x's recovery (the transition itself, the
+// zero-delay fetch timers it runs at once, and everything left pending),
+// with `far_blocks` written around a node half the ring away from x —
+// and so extended past that down, data-less member.
+std::int64_t events_scheduled_by_recovery(int far_blocks) {
+  SystemConfig c = small_config();
+  c.node_count = 64;
+  c.regen_delay = hours(10);  // keep regeneration out of the window
+  sim::Simulator sim;
+  System sys(c, sim);
+  const int down = 0;
+  int x = down;
+  for (int i = 0; i < c.node_count / 2; ++i) x = sys.ring().successor(x);
+  const auto trace = sim::FailureTrace::from_intervals(
+      c.node_count, days(1),
+      {{down, minutes(10), hours(4)}, {x, minutes(10), hours(2)}});
+  sys.attach_failure_trace(&trace, 0);
+  sim.run_until(minutes(30));
+  Rng rng(5);
+  for (int placed = 0; placed < far_blocks;) {
+    const Key k = Key::random(rng);
+    if (sys.owner_of(k) != down || sys.has(k)) continue;
+    sys.put(k, kB(8));
+    EXPECT_GT(sys.replica_nodes(k).size(), 3u);  // extended past `down`
+    ++placed;
+  }
+  sim.run_until(hours(2) - 1);
+  auto scheduled = [&sim] {
+    return static_cast<std::int64_t>(sim.events_pending() +
+                                     sim.events_processed());
+  };
+  const std::int64_t before = scheduled();
+  sim.run_until(hours(2));
+  EXPECT_TRUE(sys.node_up(x));
+  return scheduled() - before;
+}
+
+TEST(System, RecoveryCostIgnoresFarExtendedBlocks) {
+  // Node-up readjusts only the recovering node's cover arc: doubling the
+  // extended blocks elsewhere on the ring must not add a single event.
+  EXPECT_EQ(events_scheduled_by_recovery(40), events_scheduled_by_recovery(80));
+}
+
 TEST(System, WriteDuringReplicaDowntimeCatchesUpOnRecovery) {
   SystemConfig c = small_config();
   c.regen_delay = hours(10);  // no regeneration in this window

@@ -3,6 +3,7 @@
 // placement (the §11 future-work design).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/system.h"
@@ -125,6 +126,38 @@ TEST(HybridPlacement, AllDataPresent) {
     for (const store::Replica& r : b->replicas) EXPECT_TRUE(r.has_data);
     EXPECT_TRUE(sys.block_available(seq_key(i)));
   }
+}
+
+TEST(HybridPlacement, RecoveryShrinksScatterScanPastLongOutage) {
+  // The scattered member's scan skips down nodes with no step bound, so a
+  // long outage carries it further than the successor cover arc. When the
+  // last node of the outage recovers, the scan must stop there again.
+  SystemConfig c = hybrid_config(1);
+  c.regen_delay = minutes(5);
+  c.paranoid_audits = true;
+  sim::Simulator sim;
+  System sys(c, sim);
+  sys.put(seq_key(1), kB(8));
+  const auto before = sys.replica_nodes(seq_key(1));
+  std::vector<int> outage = {before.back()};
+  while (outage.size() < 12) {
+    outage.push_back(sys.ring().successor(outage.back()));
+  }
+  for (int n : outage) {
+    ASSERT_EQ(std::count(before.begin(), before.end() - 1, n), 0);
+  }
+  const int x = outage.back();
+  std::vector<sim::FailureTrace::DownInterval> downs;
+  for (int n : outage) {
+    downs.push_back({n, minutes(10), n == x ? hours(2) : hours(10)});
+  }
+  const auto trace =
+      sim::FailureTrace::from_intervals(c.node_count, days(1), downs);
+  sys.attach_failure_trace(&trace, 0);
+  sim.run_until(hours(1));
+  EXPECT_EQ(sys.replica_nodes(seq_key(1)).back(), sys.ring().successor(x));
+  sim.run_until(hours(3));
+  EXPECT_EQ(sys.replica_nodes(seq_key(1)).back(), x);
 }
 
 TEST(HybridPlacement, SurvivesWholeSuccessorGroupFailure) {

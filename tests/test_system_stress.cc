@@ -164,5 +164,48 @@ TEST(SystemStress, ErasureQuiesces) {
   run_stress(opt);
 }
 
+// Failure sweeps over the other placement modes on a larger ring, with
+// every topology change audited — including node-up's post-condition that
+// each block listing the recovered node holds its target replica set.
+StressOptions audited_failure_options(std::uint64_t seed) {
+  StressOptions opt;
+  opt.config.node_count = 120;
+  opt.config.regen_delay = minutes(20);
+  opt.config.paranoid_audits = true;
+  opt.config.seed = seed;
+  opt.seed = seed;
+  opt.with_failures = true;
+  opt.steps = 400;
+  return opt;
+}
+
+class AuditedFailureSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AuditedFailureSweep, HybridPlacement) {
+  StressOptions opt = audited_failure_options(GetParam());
+  opt.config.replicas = 4;
+  opt.config.scatter_replicas = 1;
+  run_stress(opt);
+}
+
+TEST_P(AuditedFailureSweep, Erasure) {
+  StressOptions opt = audited_failure_options(GetParam());
+  opt.config.redundancy = SystemConfig::Redundancy::kErasure;
+  opt.config.ec_total_fragments = 5;
+  opt.config.ec_data_fragments = 3;
+  run_stress(opt);
+}
+
+TEST_P(AuditedFailureSweep, Pointers) {
+  StressOptions opt = audited_failure_options(GetParam());
+  opt.config.replicas = 3;
+  opt.config.use_pointers = true;
+  opt.config.pointer_stabilization = hours(2);
+  run_stress(opt);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AuditedFailureSweep,
+                         ::testing::Range<std::uint64_t>(21, 31));
+
 }  // namespace
 }  // namespace d2::core

@@ -31,8 +31,10 @@ found a regression beyond the threshold.
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 
 
@@ -100,24 +102,60 @@ SCALE_RUNGS = [(256, 2560), (1000, 10000), (10000, 100000),
                (50000, 1000000)]
 
 
-def run_scale_rung(d2sim, nodes, users, arc_workers):
+def host_block(d2sim):
+    """Cores, RAM and compiler of the host running the d2sim binary. The
+    compiler comes from the CMakeCache.txt of the build tree holding it."""
+    mem_kb = 0
+    with open("/proc/meminfo") as f:
+        for line in f:
+            if line.startswith("MemTotal:"):
+                mem_kb = int(line.split()[1])
+    host = {"cores": os.cpu_count(), "ram_gb": round(mem_kb / 2**20, 1),
+            "compiler": "unknown"}
+    build = os.path.dirname(os.path.abspath(d2sim))
+    while not os.path.exists(os.path.join(build, "CMakeCache.txt")):
+        if os.path.dirname(build) == build:
+            return host
+        build = os.path.dirname(build)
+    cache = {}
+    with open(os.path.join(build, "CMakeCache.txt")) as f:
+        for line in f:
+            name, sep, value = line.strip().partition("=")
+            if sep:
+                cache[name.split(":")[0]] = value
+    cxx = cache.get("CMAKE_CXX_COMPILER")
+    if cxx:
+        version = subprocess.run([cxx, "--version"], stdout=subprocess.PIPE,
+                                 text=True, check=False).stdout
+        host["compiler"] = version.splitlines()[0] if version else cxx
+    host["build_type"] = cache.get("CMAKE_BUILD_TYPE", "")
+    return host
+
+
+def run_scale_rung(d2sim, nodes, users, arc_workers, host):
     """One seeded availability trial. The returned rung carries its own
-    arc_workers (rungs at different worker counts coexist in a snapshot)
-    and a digest of the per-trial result lines: equal digests at
-    different --arc-workers is the byte-identical-output check straight
-    from the committed snapshot."""
+    arc_workers (rungs at different worker counts coexist in a snapshot),
+    the host it ran on, its peak RSS, and a digest of the per-trial result
+    lines: equal digests at different --arc-workers is the byte-identical-
+    output check straight from the committed snapshot."""
     cmd = [
         d2sim, "availability", f"--nodes={nodes}", f"--users={users}",
         "--days=1", "--accesses=20", "--seed=1", "--trials=1",
         "--jobs=1", "--arcs=64", f"--arc-workers={arc_workers}",
     ]
     start = time.monotonic()
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True,
-                          text=True)
-    elapsed = time.monotonic() - start
+    with tempfile.TemporaryFile(mode="w+") as out:
+        proc = subprocess.Popen(cmd, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.monotonic() - start
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise subprocess.CalledProcessError(
+                os.waitstatus_to_exitcode(status), cmd)
+        out.seek(0)
+        stdout = out.read()
     tasks = 0
     trial_lines = []
-    for line in proc.stdout.splitlines():
+    for line in stdout.splitlines():
         if line.startswith("trial="):
             trial_lines.append(line)
             if " tasks=" in line:
@@ -131,10 +169,13 @@ def run_scale_rung(d2sim, nodes, users, arc_workers):
         "wall_seconds": round(elapsed, 3),
         "tasks": tasks,
         "tasks_per_second": round(tasks / elapsed, 1) if elapsed else 0,
+        "peak_rss_mb": round(usage.ru_maxrss / 1024),
         "output_sha256": digest[:16],
+        "host": host,
     }
     print(f"scale rung nodes={nodes} w{arc_workers}: {elapsed:.1f}s, "
-          f"{rung['tasks_per_second']} tasks/s, output {digest[:16]}")
+          f"{rung['tasks_per_second']} tasks/s, {rung['peak_rss_mb']} MB, "
+          f"output {digest[:16]}")
     return rung
 
 
@@ -172,22 +213,41 @@ WORKER_SCALING_MIN_NODES = 10000
 
 
 def run_scale_ladder(d2sim, arc_workers, prior_section=None,
-                     extra_workers=()):
-    rungs = [run_scale_rung(d2sim, nodes, users, arc_workers)
-             for nodes, users in SCALE_RUNGS]
-    section = {"arc_workers": arc_workers, "rungs": rungs}
+                     extra_workers=(), only_nodes=()):
+    """Runs the ladder, or with `only_nodes` just those rungs (at every
+    worker count, wide or not); rungs not re-run keep their committed
+    entries."""
+    host = host_block(d2sim)
+    ladder = [(n, u) for n, u in SCALE_RUNGS
+              if not only_nodes or n in only_nodes]
+    rungs = [run_scale_rung(d2sim, nodes, users, arc_workers, host)
+             for nodes, users in ladder]
     scaling = []
     for w in extra_workers:
         if w == arc_workers:
             continue
-        for nodes, users in SCALE_RUNGS:
-            if nodes < WORKER_SCALING_MIN_NODES:
+        for nodes, users in ladder:
+            if nodes < WORKER_SCALING_MIN_NODES and not only_nodes:
                 continue
-            scaling.append(run_scale_rung(d2sim, nodes, users, w))
+            scaling.append(run_scale_rung(d2sim, nodes, users, w, host))
+    note_scale_regressions(rungs + scaling, prior_section)
+    if only_nodes and prior_section:
+        rungs = merge_rungs(prior_section.get("rungs", []), rungs)
+        scaling = merge_rungs(prior_section.get("worker_scaling", []),
+                              scaling)
+    section = {"arc_workers": arc_workers, "rungs": rungs}
     if scaling:
         section["worker_scaling"] = scaling
-    note_scale_regressions(rungs + scaling, prior_section)
     return section
+
+
+def merge_rungs(prior, fresh):
+    """Committed rungs with every (nodes, users, arc_workers) re-run in
+    `fresh` replaced, ordered by nodes then workers."""
+    key = lambda r: (r["nodes"], r["users"], r["arc_workers"])
+    merged = {key(r): r for r in prior}
+    merged.update({key(r): r for r in fresh})
+    return [merged[k] for k in sorted(merged)]
 
 
 # Durability probe (EXPERIMENTS.md "durability under correlated
@@ -376,6 +436,12 @@ def main():
                          f"{WORKER_SCALING_MIN_NODES} nodes) at this "
                          "--arc-workers count, recorded under "
                          "worker_scaling; repeatable")
+    ap.add_argument("--e2e-scale-nodes", action="append", type=int,
+                    default=[], metavar="N",
+                    help="re-run only the scale rung with N nodes, at "
+                         "--e2e-arc-workers and every --e2e-scale-workers "
+                         "count, keeping the other committed rungs; "
+                         "repeatable")
     args = ap.parse_args()
 
     if args.e2e_scale or args.e2e_durability:
@@ -390,7 +456,8 @@ def main():
             merge_e2e(args.e2e_out, "e2e_scale",
                       run_scale_ladder(args.d2sim, args.e2e_arc_workers,
                                        prior_section,
-                                       args.e2e_scale_workers),
+                                       args.e2e_scale_workers,
+                                       args.e2e_scale_nodes),
                       args.label)
         if args.e2e_durability:
             merge_e2e(args.e2e_out, "e2e_durability",
